@@ -121,14 +121,6 @@ def _compile_pair(source: str):
     return original, idempotent
 
 
-def _reference(idempotent_program):
-    from repro.sim.simulator import Simulator
-
-    sim = Simulator(idempotent_program)
-    result = sim.run("main")
-    return result, list(sim.output)
-
-
 def run_campaign_cache_bench(
     trials: int = 48,
     seed: int = 20126,
@@ -142,6 +134,7 @@ def run_campaign_cache_bench(
     machine's ``.repro-cache`` is neither read nor written.
     """
     from repro import repro_version
+    from repro.harness.campaign import reference_run
     from repro.harness.incremental import (
         OutcomeStore,
         function_fingerprint,
@@ -180,8 +173,8 @@ def run_campaign_cache_bench(
             "sections"
         )
 
-    base_ref, base_out = _reference(base_idem.program)
-    edit_ref, edit_out = _reference(edit_idem.program)
+    base_ref, base_out = reference_run(base_idem.program, _BENCH_NAME, "main")
+    edit_ref, edit_out = reference_run(edit_idem.program, _BENCH_NAME, "main")
 
     scenarios: Dict[str, dict] = {}
     start = time.perf_counter()

@@ -365,6 +365,13 @@ def cmd_campaign(args) -> int:
     if args.fresh and manifest_path and os.path.exists(manifest_path):
         os.unlink(manifest_path)
     telemetry = Telemetry(label="fault campaign")
+    common = dict(
+        names=args.workloads or None, trials=args.trials, seed=args.seed,
+        kind=args.kind, detection_latency=args.latency, jobs=args.jobs,
+        manifest_path=manifest_path, telemetry=telemetry, retry=retry,
+        unit_timeout=unit_timeout, chaos=chaos, flavours=flavours,
+        backends=backends,
+    )
     try:
         if args.incremental:
             from repro.harness.incremental import (
@@ -374,37 +381,10 @@ def cmd_campaign(args) -> int:
                 run_incremental_fault_campaign,
             )
 
-            summary = run_incremental_fault_campaign(
-                names=args.workloads or None,
-                trials=args.trials,
-                seed=args.seed,
-                kind=args.kind,
-                detection_latency=args.latency,
-                jobs=args.jobs,
-                manifest_path=manifest_path,
-                telemetry=telemetry,
-                retry=retry,
-                unit_timeout=unit_timeout,
-                chaos=chaos,
-                flavours=flavours,
-                backends=backends,
-            )
+            summary = run_incremental_fault_campaign(**common)
         else:
             summary = run_fault_campaign(
-                names=args.workloads or None,
-                trials=args.trials,
-                seed=args.seed,
-                kind=args.kind,
-                detection_latency=args.latency,
-                jobs=args.jobs,
-                manifest_path=manifest_path,
-                shard_trials=args.shard_trials,
-                telemetry=telemetry,
-                retry=retry,
-                unit_timeout=unit_timeout,
-                chaos=chaos,
-                flavours=flavours,
-                backends=backends,
+                shard_trials=args.shard_trials, **common
             )
     except ValueError as exc:
         print(f"campaign error: {exc}", file=sys.stderr)

@@ -37,7 +37,7 @@ from repro.obs.context import get_observer
 from repro.sim.faults import (
     FAULT_VALUE,
     CampaignResult,
-    fault_campaign,
+    FaultInjector,
     format_rate,
 )
 from repro.sim.simulator import Simulator
@@ -346,62 +346,184 @@ class FaultCampaignSummary:
                 total.merge(result)
         return total
 
+    def result_lines(self) -> List[str]:
+        """The per-(workload, label) table and the per-label totals."""
+        headers = ["workload", "flavour", "trials", "injected", "recovered",
+                   "wrong", "crashed", "recovery"]
+        rows = [
+            [name, label, result.trials, result.injected,
+             result.recovered_correctly, result.wrong_result, result.crashed,
+             format_rate(result)]
+            for (name, label), result in self.results.items()
+        ]
+        lines = [format_table(headers, rows), ""]
+        for label in self.labels:
+            total = self.flavour_totals(label)
+            undetected = (
+                f" undetected={total.undetected}" if total.undetected else ""
+            )
+            lines.append(
+                f"{label:10s}: injected={total.injected} "
+                f"recovered={total.recovered_correctly} "
+                f"wrong={total.wrong_result} crashed={total.crashed}"
+                f"{undetected} "
+                f"({format_rate(total)} recovery)"
+            )
+        return lines
+
+
+def run_units(
+    summary: FaultCampaignSummary,
+    worker: Callable[[dict], dict],
+    units: Sequence[Tuple[str, dict]],
+    provenance: Dict[str, dict],
+    manifest_path: Optional[str] = None,
+    jobs: int = 1,
+    retry: Optional[RetryPolicy] = None,
+    unit_timeout: Optional[float] = None,
+    chaos: Optional[ChaosPolicy] = None,
+) -> Dict[str, dict]:
+    """Run a campaign's units on the runner stack, accounted on ``summary``.
+
+    Failed and quarantined units are filed as errors; returns the result
+    data of every unit that completed, by unit id.
+    """
+    runner = CampaignRunner(
+        manifest=RunManifest(manifest_path) if manifest_path else None,
+        jobs=jobs, telemetry=summary.telemetry, retry=retry,
+        unit_timeout=unit_timeout, chaos=chaos,
+    )
+    records = runner.run(worker, units, phase="inject", provenance=provenance)
+    summary.executed_units = runner.executed
+    summary.skipped_units = runner.skipped
+    summary.failed_units = runner.failed
+    summary.quarantined_units = runner.quarantined + runner.quarantine_skipped
+    done: Dict[str, dict] = {}
+    for unit_id, _ in units:
+        record = records.get(unit_id)
+        if record is None:
+            continue
+        if record.quarantined:
+            category = record.data.get("category", UNIT_ERROR)
+            summary.quarantined.append((unit_id, category))
+            summary.errors.append(
+                f"{unit_id}: quarantined after {record.attempts} attempts "
+                f"[{category}]: {record.data.get('error')}"
+            )
+        elif not record.ok:
+            summary.errors.append(f"{unit_id}: {record.data.get('error')}")
+        else:
+            done[unit_id] = record.data
+    return done
+
+
+@dataclass(frozen=True)
+class CampaignTarget:
+    """What one campaign label runs: a binary, an injector, a seed key.
+
+    A label is a binary flavour (rp recovery on that build) or a
+    recovery backend; this is the one place either is resolved.
+    """
+
+    label: str
+    #: the build the campaign executes (reports, manifests, provenance)
+    flavour: str
+    #: spawn-key component of the per-workload unit seed
+    seed_key: str
+    backend: Optional[object] = None
+
+    @property
+    def tag(self) -> str:
+        """Unit-id component: backend units never collide with flavours."""
+        return self.label if self.backend is None else f"backend-{self.label}"
+
+    def program(self, original_program, idempotent_program):
+        """The binary this label campaigns over."""
+        if self.backend is not None:
+            return self.backend.campaign_program(
+                original_program, idempotent_program
+            )
+        if self.flavour == "idempotent":
+            return idempotent_program
+        return original_program
+
+    @property
+    def injector_factory(self):
+        if self.backend is None:
+            return FaultInjector
+        return self.backend.make_injector
+
+
+def campaign_target(
+    flavour: Optional[str] = None, backend: object = None
+) -> CampaignTarget:
+    """Resolve a flavour name, or a backend (name or instance)."""
+    if backend is None:
+        return CampaignTarget(label=flavour, flavour=flavour, seed_key=flavour)
+    if isinstance(backend, str):
+        from repro.recovery.backends import get_backend
+
+        backend = get_backend(backend)
+    return CampaignTarget(
+        label=backend.name, flavour=backend.flavour,
+        seed_key=backend.seed_key, backend=backend,
+    )
+
+
+def reference_run(
+    program, workload: str, entry: str
+) -> Tuple[object, List[object]]:
+    """The fault-free result and output every trial is judged against.
+
+    The recovery target is the idempotent build's fault-free run (the
+    same convention as ``python -m repro faults``); every scheme must
+    reproduce it to count as recovered.  A crashing reference means the
+    *build* is broken — deterministic for every retry — so it is
+    reported as a structured, permanently-classified unit error rather
+    than escaping as a raw exception string.
+    """
+    try:
+        sim = Simulator(program)
+        result = sim.run(entry)
+    except Exception as exc:
+        raise PermanentUnitError(
+            f"reference run failed for workload {workload!r} "
+            f"(entry {entry!r}): {type(exc).__name__}: {exc}"
+        ) from exc
+    return result, list(sim.output)
+
+
+def unit_inputs(payload: dict):
+    """(target, campaigned binary, reference result, reference output)
+    of one campaign work unit's payload."""
+    name = payload["workload"]
+    target = campaign_target(payload["flavour"], payload.get("backend"))
+    original, idempotent = build_pair(name)
+    reference, output = reference_run(
+        idempotent.program, name, payload["entry"]
+    )
+    program = target.program(original.program, idempotent.program)
+    return target, program, reference, output
+
 
 def _fault_unit(payload: dict) -> dict:
     """Worker: one trial-shard of one workload × flavour (or backend)."""
-    name = payload["workload"]
-    flavour = payload["flavour"]
-    backend_name = payload.get("backend")
-    original, idempotent = build_pair(name)
-    # The recovery target is the idempotent build's fault-free run (the
-    # same convention as ``python -m repro faults``); every scheme must
-    # reproduce it to count as recovered.  A crashing reference means
-    # the *build* is broken — deterministic for every retry — so it is
-    # reported as a structured, permanently-classified unit error
-    # rather than escaping as a raw exception string.
-    try:
-        reference_sim = Simulator(idempotent.program)
-        reference = reference_sim.run(payload["entry"])
-        reference_output = list(reference_sim.output)
-    except Exception as exc:
-        raise PermanentUnitError(
-            f"reference run failed for workload {name!r} "
-            f"(flavour {flavour}, entry {payload['entry']!r}): "
-            f"{type(exc).__name__}: {exc}"
-        ) from exc
-    if backend_name is not None:
-        from repro.recovery.backends import get_backend
+    from repro.harness.incremental import run_campaign
 
-        campaign = get_backend(backend_name).campaign(
-            original.program,
-            idempotent.program,
-            reference,
-            reference_output,
-            trials=payload["trials"],
-            func=payload["entry"],
-            kind=payload["kind"],
-            seed=payload["unit_seed"],
-            detection_latency=payload["detection_latency"],
-            start_trial=payload["start_trial"],
-        )
-    else:
-        program = idempotent.program if flavour == "idempotent" else original.program
-        campaign = fault_campaign(
-            program,
-            reference,
-            reference_output,
-            trials=payload["trials"],
-            func=payload["entry"],
-            kind=payload["kind"],
-            seed=payload["unit_seed"],
-            detection_latency=payload["detection_latency"],
-            start_trial=payload["start_trial"],
-        )
+    target, program, reference, reference_output = unit_inputs(payload)
+    campaign = run_campaign(
+        program, reference, reference_output, trials=payload["trials"],
+        func=payload["entry"], kind=payload["kind"],
+        seed=payload["unit_seed"],
+        detection_latency=payload["detection_latency"],
+        start_trial=payload["start_trial"],
+        injector_factory=target.injector_factory,
+    ).result
     row = asdict(campaign)
-    row["workload"] = name
-    row["flavour"] = flavour
-    if backend_name is not None:
-        row["backend"] = backend_name
+    row["workload"] = payload["workload"]
+    row["flavour"] = target.flavour
+    if target.backend is not None:
+        row["backend"] = target.label
     return row
 
 
@@ -423,6 +545,18 @@ def campaign_labels(
     if flavours is None and backends is None:
         flavour_list = FLAVOURS
     return flavour_list, backend_list
+
+
+def campaign_targets(
+    flavours: Optional[Sequence[str]] = None,
+    backends: Optional[Sequence[str]] = None,
+) -> List[CampaignTarget]:
+    """The validated labels of a campaign, flavours first (report order)."""
+    flavour_list, backend_list = campaign_labels(flavours, backends)
+    return (
+        [campaign_target(flavour=name) for name in flavour_list]
+        + [campaign_target(backend=name) for name in backend_list]
+    )
 
 
 def fault_campaign_units(
@@ -449,56 +583,31 @@ def fault_campaign_units(
     their results) are bit-identical to flavour campaigns at the same
     parameters.
     """
-    from repro.recovery.backends import get_backend
-
-    flavour_list, backend_list = campaign_labels(flavours, backends)
+    targets = campaign_targets(flavours, backends)
     shard = trials if not shard_trials else max(1, int(shard_trials))
     units: List[Tuple[str, dict]] = []
     for workload in resolve_workloads(names):
-        for flavour in flavour_list:
-            unit_seed = derive_seed(seed, workload.name, flavour)
+        for target in targets:
+            unit_seed = derive_seed(seed, workload.name, target.seed_key)
             for start in range(0, trials, shard):
                 count = min(shard, trials - start)
                 unit_id = (
-                    f"{workload.name}:{flavour}:{kind}:seed{seed}"
+                    f"{workload.name}:{target.tag}:{kind}:seed{seed}"
                     f":lat{detection_latency}:t{start}+{count}"
                 )
-                units.append((
-                    unit_id,
-                    {
-                        "workload": workload.name,
-                        "flavour": flavour,
-                        "entry": workload.entry,
-                        "trials": count,
-                        "start_trial": start,
-                        "unit_seed": unit_seed,
-                        "kind": kind,
-                        "detection_latency": detection_latency,
-                    },
-                ))
-        for backend_name in backend_list:
-            backend = get_backend(backend_name)
-            unit_seed = derive_seed(seed, workload.name, backend.seed_key)
-            for start in range(0, trials, shard):
-                count = min(shard, trials - start)
-                unit_id = (
-                    f"{workload.name}:backend-{backend_name}:{kind}:seed{seed}"
-                    f":lat{detection_latency}:t{start}+{count}"
-                )
-                units.append((
-                    unit_id,
-                    {
-                        "workload": workload.name,
-                        "flavour": backend.flavour,
-                        "backend": backend_name,
-                        "entry": workload.entry,
-                        "trials": count,
-                        "start_trial": start,
-                        "unit_seed": unit_seed,
-                        "kind": kind,
-                        "detection_latency": detection_latency,
-                    },
-                ))
+                payload = {
+                    "workload": workload.name,
+                    "flavour": target.flavour,
+                    "entry": workload.entry,
+                    "trials": count,
+                    "start_trial": start,
+                    "unit_seed": unit_seed,
+                    "kind": kind,
+                    "detection_latency": detection_latency,
+                }
+                if target.backend is not None:
+                    payload["backend"] = target.label
+                units.append((unit_id, payload))
     return units
 
 
@@ -522,7 +631,7 @@ def run_fault_campaign(
     telemetry = telemetry or Telemetry(label="fault campaign")
     if manifest_path:
         get_observer().log(f"campaign manifest: {manifest_path}")
-    flavour_list, backend_list = campaign_labels(flavours, backends)
+    labels = tuple(t.label for t in campaign_targets(flavours, backends))
     units = fault_campaign_units(
         names, trials, seed, kind=kind,
         detection_latency=detection_latency, shard_trials=shard_trials,
@@ -544,49 +653,25 @@ def run_fault_campaign(
         fp_key = (payload["workload"], payload["flavour"])
         if fp_key not in fingerprints:
             original, idempotent = build_pair(payload["workload"])
-            program = (
-                idempotent.program if payload["flavour"] == "idempotent"
-                else original.program
+            fingerprints[fp_key] = program_fingerprint(
+                campaign_target(payload["flavour"]).program(
+                    original.program, idempotent.program
+                )
             )
-            fingerprints[fp_key] = program_fingerprint(program)
         provenance[unit_id] = {
             "pipeline": PIPELINE_VERSION,
             "label": payload.get("backend") or payload["flavour"],
             "cfg": fingerprints[fp_key],
         }
-    manifest = RunManifest(manifest_path) if manifest_path else None
-    runner = CampaignRunner(
-        manifest=manifest, jobs=jobs, telemetry=telemetry,
-        retry=retry, unit_timeout=unit_timeout, chaos=chaos,
-    )
-    records = runner.run(_fault_unit, units, phase="inject", provenance=provenance)
-
     summary = FaultCampaignSummary(
-        trials=trials, seed=seed, kind=kind,
-        labels=flavour_list + backend_list,
-        executed_units=runner.executed,
-        skipped_units=runner.skipped,
-        failed_units=runner.failed,
-        quarantined_units=runner.quarantined + runner.quarantine_skipped,
+        trials=trials, seed=seed, kind=kind, labels=labels,
         telemetry=telemetry,
     )
-    for unit_id, _ in units:
-        record = records.get(unit_id)
-        if record is None:
-            continue
-        if record.quarantined:
-            category = record.data.get("category", UNIT_ERROR)
-            summary.quarantined.append((unit_id, category))
-            summary.errors.append(
-                f"{unit_id}: quarantined after {record.attempts} attempts "
-                f"[{category}]: "
-                f"{record.data.get('error')}"
-            )
-            continue
-        if not record.ok:
-            summary.errors.append(f"{unit_id}: {record.data.get('error')}")
-            continue
-        data = record.data
+    done = run_units(
+        summary, _fault_unit, units, provenance, manifest_path=manifest_path,
+        jobs=jobs, retry=retry, unit_timeout=unit_timeout, chaos=chaos,
+    )
+    for data in done.values():
         key = (data["workload"], data.get("backend") or data["flavour"])
         # ``.get`` keeps manifests written before the ``undetected``
         # bucket existed loadable (they recorded no such faults).
@@ -601,28 +686,7 @@ def run_fault_campaign(
 
 
 def format_campaign_report(summary: FaultCampaignSummary) -> str:
-    headers = ["workload", "flavour", "trials", "injected", "recovered",
-               "wrong", "crashed", "recovery"]
-    rows = []
-    for (name, flavour), result in summary.results.items():
-        rows.append([
-            name, flavour, result.trials, result.injected,
-            result.recovered_correctly, result.wrong_result, result.crashed,
-            format_rate(result),
-        ])
-    lines = [format_table(headers, rows), ""]
-    for flavour in summary.labels:
-        total = summary.flavour_totals(flavour)
-        undetected = (
-            f" undetected={total.undetected}" if total.undetected else ""
-        )
-        lines.append(
-            f"{flavour:10s}: injected={total.injected} "
-            f"recovered={total.recovered_correctly} "
-            f"wrong={total.wrong_result} crashed={total.crashed}"
-            f"{undetected} "
-            f"({format_rate(total)} recovery)"
-        )
+    lines = summary.result_lines()
     units_line = (
         f"units: {summary.executed_units} executed, "
         f"{summary.skipped_units} resumed from manifest, "

@@ -1,28 +1,29 @@
-"""Incremental, compositional fault campaigns (FastFlip-style).
+"""The campaign driver, and incremental compositional campaigns (FastFlip-style).
 
-A monolithic ``repro campaign`` re-injects every workload × scheme from
-scratch on every compiler change.  This module makes campaigns
-*compositional*: the constructed idempotent regions are the natural
-program sections, so each workload campaign is split into per-region
-**sections**, each section is campaigned as an independent work unit on
-the existing :class:`~repro.harness.campaign.CampaignRunner` stack, and
-the per-trial outcomes are persisted in a content-addressed **outcome
-store** under ``.repro-cache/outcomes/``.  A composer folds stored
-section outcomes back into whole-program
-:class:`~repro.sim.faults.CampaignResult` rows that are bit-identical to
-a monolithic campaign at the same seeds and budgets.
+Every fault campaign of one program runs through :func:`run_campaign`:
+one traced fault-free run → :func:`assign_trials` over the requested
+trial indices → :func:`run_section_trials` per landing region → compose.
+The constructed idempotent regions are the natural program *sections*:
+with an outcome store, per-trial outcomes of each section persist in a
+content-addressed store under ``.repro-cache/outcomes/``, and a later
+campaign composes stored sections instead of re-injecting them, into
+:class:`~repro.sim.faults.CampaignResult` rows bit-identical to a
+store-less run at the same seeds and budgets.  Without a store the same
+steps run every trial.  :func:`run_incremental_fault_campaign` reuses
+the steps with sections distributed as work units over the
+:class:`~repro.harness.campaign.CampaignRunner` stack.
 
 How bit-identity is preserved
 -----------------------------
 Trial ``i``'s fault plan is a pure function of ``(seed, i, span)``
 (:func:`repro.sim.faults.trial_plan`), and the faulted run's dynamic
 prefix is identical to the fault-free run up to the injection point.  So
-one fault-free *eligibility trace* — recording the dynamic position and
-region of every fault-eligible event with the injectors' exact arming
-rules — predicts where every trial lands without running it.  Sections
-then execute exactly their assigned trial indices through
-:func:`repro.sim.faults.run_planned_trial` (the same code path the
-monolithic loop uses), and the composed buckets match trial for trial.
+the fault sites of one fault-free run
+(:func:`repro.sim.faults.trace_eligibility`, which applies the same
+site rule the injector arms on) predict where every trial lands without
+running it.  Sections then execute exactly their assigned trial indices
+through :func:`repro.sim.faults.run_planned_trial`, and the composed
+buckets match trial for trial, however the index range is split.
 
 Section keys and staleness
 --------------------------
@@ -51,34 +52,33 @@ import json
 import os
 import tempfile
 from bisect import bisect_left
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.codegen.machine import MachineProgram, format_machine_function
 from repro.harness.cache import DEFAULT_CACHE_DIR, PIPELINE_VERSION
 from repro.harness.campaign import (
-    FLAVOURS,
-    CampaignRunner,
     FaultCampaignSummary,
-    RunManifest,
-    campaign_labels,
+    campaign_target,
+    campaign_targets,
+    run_units,
+    unit_inputs,
 )
 from repro.harness.executor import derive_seed
 from repro.harness.report import Telemetry
-from repro.harness.resilience import UNIT_ERROR, PermanentUnitError
+from repro.harness.resilience import PermanentUnitError
 from repro.obs.context import get_observer
 from repro.sim.faults import (
     FAULT_VALUE,
     REGION_UNKNOWN,
     CampaignResult,
+    EligibilityTrace,
     _publish_campaign_metrics,
     classify_outcome,
-    format_rate,
-    region_key,
     run_planned_trial,
+    trace_eligibility,
     trial_plan,
 )
-from repro.sim.simulator import Simulator
 
 #: Schema tag of outcome-store records; mixed into every section key, so
 #: bumping it invalidates the whole store (a layout change is a miss).
@@ -127,68 +127,8 @@ def region_owner(region: str, entry: str) -> str:
 
 
 # ----------------------------------------------------------------------
-# Eligibility trace: predict where every trial lands without running it
+# Trial assignment: where every trial lands, without running it
 # ----------------------------------------------------------------------
-@dataclass
-class EligibilityTrace:
-    """Fault-eligible events of one fault-free run, in dynamic order.
-
-    ``value_events[i]`` is the dynamic instruction index at which the
-    ``i``-th value-eligible instruction (has a destination register, not
-    a memory op) retires — the exact quantity
-    :class:`~repro.sim.faults.FaultInjector` compares against the trial
-    target — and ``value_regions[i]`` is the region key the injector
-    would attribute a fault there to.  ``control_*`` mirror the ``bnz``
-    pre-hook arithmetic (``instructions + 1``).
-    """
-
-    span: int
-    instructions: int
-    value_events: List[int] = field(default_factory=list)
-    value_regions: List[str] = field(default_factory=list)
-    control_events: List[int] = field(default_factory=list)
-    control_regions: List[str] = field(default_factory=list)
-
-    def events(self, kind: str) -> Tuple[List[int], List[str]]:
-        if kind == FAULT_VALUE:
-            return self.value_events, self.value_regions
-        return self.control_events, self.control_regions
-
-
-def trace_eligibility(
-    program: MachineProgram,
-    func: str = "main",
-    args: Tuple = (),
-    max_instructions: int = 50_000_000,
-) -> EligibilityTrace:
-    """One fault-free run recording every fault-eligible event.
-
-    The hooks replicate the injectors' arming checks exactly, at the
-    same pre/post points, so a trial whose target resolves to event
-    ``i`` here injects at precisely that instruction (the faulted run's
-    dynamic prefix equals the fault-free prefix up to injection).
-    """
-    sim = Simulator(program, max_instructions=max_instructions)
-    trace = EligibilityTrace(span=1, instructions=0)
-
-    def pre(s: Simulator, instr) -> None:
-        if instr.opcode == "bnz":
-            trace.control_events.append(s.instructions + 1)
-            trace.control_regions.append(region_key(s))
-
-    def post(s: Simulator, instr, loc) -> None:
-        if instr.dst is not None and not instr.is_memory:
-            trace.value_events.append(s.instructions)
-            trace.value_regions.append(region_key(s))
-
-    sim.pre_hook = pre
-    sim.post_hook = post
-    sim.run(func, args)
-    trace.instructions = sim.instructions
-    trace.span = max(sim.instructions - 2, 1)
-    return trace
-
-
 @dataclass
 class TrialAssignment:
     """Partition of a campaign's trial indices by landing region."""
@@ -207,8 +147,9 @@ def assign_trials(
     trials: int,
     kind: str = FAULT_VALUE,
     detection_latency: int = 0,
+    start_trial: int = 0,
 ) -> TrialAssignment:
-    """Map every trial index to the region its fault lands in.
+    """Map trial indices ``start_trial ..`` to the regions they land in.
 
     Pure arithmetic over the trace: trial ``i``'s target comes from the
     exact :func:`~repro.sim.faults.trial_plan` the executing run will
@@ -217,7 +158,7 @@ def assign_trials(
     """
     events, regions = trace.events(kind)
     assignment = TrialAssignment(span=trace.span)
-    for index in range(trials):
+    for index in range(start_trial, start_trial + trials):
         plan = trial_plan(
             seed, index, trace.span, kind=kind,
             detection_latency=detection_latency,
@@ -233,6 +174,14 @@ def assign_trials(
 # ----------------------------------------------------------------------
 # Content-addressed outcome store
 # ----------------------------------------------------------------------
+def _digest(*parts: object) -> str:
+    h = hashlib.sha256()
+    for part in parts:
+        h.update(str(part).encode("utf-8"))
+        h.update(b"\x00")
+    return h.hexdigest()
+
+
 def section_key(
     workload: str,
     entry: str,
@@ -244,14 +193,10 @@ def section_key(
     fingerprint: str,
 ) -> str:
     """SHA-256 content address of one section's outcome record."""
-    h = hashlib.sha256()
-    for part in (
+    return _digest(
         STORE_SCHEMA, PIPELINE_VERSION, workload, entry, label, kind,
-        str(latency), str(unit_seed), region, fingerprint,
-    ):
-        h.update(part.encode("utf-8"))
-        h.update(b"\x00")
-    return h.hexdigest()
+        latency, unit_seed, region, fingerprint,
+    )
 
 
 def section_identity(
@@ -269,12 +214,7 @@ def section_identity(
     pipeline version: the identity survives code edits, so the explain
     index can tell *why* a key missed (code changed vs never seen).
     """
-    h = hashlib.sha256()
-    for part in (workload, entry, label, kind, str(latency),
-                 str(unit_seed), region):
-        h.update(part.encode("utf-8"))
-        h.update(b"\x00")
-    return h.hexdigest()
+    return _digest(workload, entry, label, kind, latency, unit_seed, region)
 
 
 class OutcomeStore:
@@ -322,13 +262,7 @@ class OutcomeStore:
             self._count("misses")
             return None
         except (OSError, ValueError):
-            self._count("misses")
-            self._count("corrupt")
-            try:
-                os.unlink(path)
-            except OSError:
-                pass
-            return None
+            record = None
         if not isinstance(record, dict) or record.get("schema") != STORE_SCHEMA:
             self._count("misses")
             self._count("corrupt")
@@ -444,18 +378,10 @@ def detect_gap_histogram(rows: Sequence[Sequence[object]]) -> Dict[str, int]:
 
 def summarize_rows(rows: Sequence[Sequence[object]]) -> Dict[str, int]:
     """Campaign-bucket totals of a section's trial rows."""
-    summary = {
-        "trials": 0, "injected": 0, "detected": 0,
-        "recovered_correctly": 0, "wrong_result": 0, "crashed": 0,
-        "undetected": 0,
-    }
+    summary = CampaignResult()
     for _index, bucket, detected, _gap in rows:
-        summary["trials"] += 1
-        summary["injected"] += 1
-        if detected:
-            summary["detected"] += 1
-        summary[bucket] += 1
-    return summary
+        summary.count(bucket, detected)
+    return asdict(summary)
 
 
 def make_section_record(
@@ -553,7 +479,7 @@ def _classify_miss(
 
 
 def plan_sections(
-    store: OutcomeStore,
+    store: Optional[OutcomeStore],
     workload: str,
     entry: str,
     label: str,
@@ -567,8 +493,22 @@ def plan_sections(
 
     Returns one plan row per landing region (sorted by region key for a
     deterministic unit order), each carrying the trial indices still to
-    inject and the existing record to merge into.
+    inject and the existing record to merge into.  Without a store
+    (``None``) every section is new and nothing is keyed or counted.
     """
+    if store is None:
+        return [
+            _SectionPlan(
+                status=SectionStatus(
+                    workload=workload, label=label, region=region, key="",
+                    identity="", fingerprint="", status=SECTION_NEW,
+                    reason="", trials_needed=len(needed), trials_cached=0,
+                    trials_run=len(needed),
+                ),
+                needed=needed, missing=needed, record=None,
+            )
+            for region, needed in sorted(assignment.regions.items())
+        ]
     index = store.load_index()
     observer = get_observer()
     plans: List[_SectionPlan] = []
@@ -650,27 +590,6 @@ def compose_campaign(
 # ----------------------------------------------------------------------
 # Section execution — worker for the distributed CampaignRunner path
 # ----------------------------------------------------------------------
-def _resolve_campaign_program(
-    name: str, flavour: str, backend_name: Optional[str]
-):
-    """(program, injector_factory, entry-agnostic) for one campaign label."""
-    from repro.experiments.common import build_pair
-
-    original, idempotent = build_pair(name)
-    if backend_name is not None:
-        from repro.recovery.backends import get_backend
-
-        backend = get_backend(backend_name)
-        program = backend.campaign_program(
-            original.program, idempotent.program
-        )
-        return idempotent.program, program, backend.make_injector
-    program = (
-        idempotent.program if flavour == "idempotent" else original.program
-    )
-    return idempotent.program, program, None
-
-
 def run_section_trials(
     program: MachineProgram,
     reference_result: object,
@@ -712,43 +631,108 @@ def run_section_trials(
     return rows
 
 
-def _section_unit(payload: dict) -> dict:
-    """Worker: inject one section's missing trial indices."""
-    name = payload["workload"]
-    idem_program, program, injector_factory = _resolve_campaign_program(
-        name, payload["flavour"], payload.get("backend")
-    )
-    try:
-        reference_sim = Simulator(idem_program)
-        reference = reference_sim.run(payload["entry"])
-        reference_output = list(reference_sim.output)
-    except Exception as exc:
-        raise PermanentUnitError(
-            f"reference run failed for workload {name!r} "
-            f"(entry {payload['entry']!r}): {type(exc).__name__}: {exc}"
-        ) from exc
-    rows = run_section_trials(
-        program, reference, reference_output,
-        region=payload["region"], indices=payload["indices"],
-        span=payload["span"], unit_seed=payload["unit_seed"],
-        func=payload["entry"], kind=payload["kind"],
-        detection_latency=payload["detection_latency"],
-        injector_factory=injector_factory,
-    )
-    return {
-        "workload": name,
-        "label": payload["label"],
-        "region": payload["region"],
-        "rows": rows,
-    }
-
-
 # ----------------------------------------------------------------------
-# Inline driver (serve, recovery compare, bench)
+# The campaign driver: trace -> assign -> sections -> compose
 # ----------------------------------------------------------------------
 @dataclass
+class CampaignPlan:
+    """One program × label campaign: where its trials land, what is stored.
+
+    ``name`` scopes store keys (the workload, or a stable provenance
+    name); ``label`` is the flavour or backend campaigned.
+    """
+
+    name: str
+    entry: str
+    label: str
+    kind: str
+    latency: int
+    seed: int
+    assignment: TrialAssignment
+    sections: List[_SectionPlan]
+
+    def commit(
+        self,
+        store: Optional[OutcomeStore],
+        section: _SectionPlan,
+        rows: Sequence[Sequence[object]],
+    ) -> None:
+        """Merge freshly injected rows into the section's record."""
+        section.record = make_section_record(
+            self.name, self.entry, self.label, self.kind, self.latency,
+            self.seed, section.status.region, section.status.fingerprint,
+            merge_section_rows(section.record, rows),
+        )
+        if store is not None:
+            store.put(section.status.key, section.record)
+
+    def compose(
+        self, per_region: Optional[Dict[str, CampaignResult]] = None
+    ) -> CampaignResult:
+        result = compose_campaign(
+            self.sections, len(self.assignment.uninjected),
+            per_region=per_region,
+        )
+        _publish_campaign_metrics(result, self.kind)
+        return result
+
+
+def plan_campaign(
+    program: MachineProgram,
+    store: Optional[OutcomeStore],
+    name: str,
+    label: str,
+    trials: int,
+    func: str = "main",
+    kind: str = FAULT_VALUE,
+    seed: int = 12345,
+    detection_latency: int = 0,
+    start_trial: int = 0,
+) -> CampaignPlan:
+    """One traced fault-free run, the trial assignment, the store probe."""
+    trace = trace_eligibility(program, func=func)
+    assignment = assign_trials(
+        trace, seed, trials, kind=kind, detection_latency=detection_latency,
+        start_trial=start_trial,
+    )
+    sections = plan_sections(
+        store, name, func, label, kind, detection_latency, seed,
+        assignment, program,
+    )
+    return CampaignPlan(
+        name=name, entry=func, label=label, kind=kind,
+        latency=detection_latency, seed=seed, assignment=assignment,
+        sections=sections,
+    )
+
+
+def close_campaigns(
+    store: Optional[OutcomeStore], plans: Sequence[CampaignPlan]
+) -> Tuple[int, int]:
+    """Index the stored sections; returns (trials from store, injected)."""
+    sections = [section.status for plan in plans for section in plan.sections]
+    from_store = sum(status.trials_cached for status in sections)
+    injected = sum(status.trials_run for status in sections)
+    if store is not None:
+        store.update_index({
+            status.identity: {
+                "key": status.key,
+                "fingerprint": status.fingerprint,
+                "pipeline": PIPELINE_VERSION,
+            }
+            for status in sections
+        })
+        counter = get_observer().counter("campaign.trials")
+        if from_store:
+            counter.inc(from_store, source="store")
+        if injected:
+            counter.inc(injected, source="injected")
+    return from_store, injected
+
+
+@dataclass
 class InlineCampaign:
-    """Result + section accounting of one inline incremental campaign."""
+    """Result + section accounting of one inline campaign."""
 
     result: CampaignResult
     sections: List[SectionStatus] = field(default_factory=list)
@@ -758,6 +742,61 @@ class InlineCampaign:
     @property
     def sections_reinjected(self) -> int:
         return sum(1 for s in self.sections if s.status != SECTION_CACHED)
+
+
+def run_campaign(
+    program: MachineProgram,
+    reference_result: object,
+    reference_output: List[object],
+    trials: int,
+    func: str = "main",
+    kind: str = FAULT_VALUE,
+    seed: int = 12345,
+    detection_latency: int = 0,
+    start_trial: int = 0,
+    injector_factory=None,
+    per_region: Optional[Dict[str, CampaignResult]] = None,
+    store: Optional[OutcomeStore] = None,
+    name: str = "adhoc",
+    label: str = "idempotent",
+) -> InlineCampaign:
+    """The campaign driver: trials ``start_trial ..`` of one program.
+
+    One traced fault-free run yields the target span and every fault
+    site; :func:`assign_trials` maps the requested trial indices to the
+    regions they land in; :func:`run_section_trials` injects each
+    landing region's trials under ``injector_factory`` (default: rp
+    recovery); the sections compose into one :class:`CampaignResult`.
+    Trial ``i`` depends on ``(seed, i)`` and the program alone, so any
+    split of an index range composes to the serial result.
+
+    With a ``store``, sections already recorded under
+    ``(name, label, ...)`` compose from it and only the missing trials
+    inject; without one, every trial injects and nothing is written.
+    The result is the same either way.  ``per_region`` collects one
+    :class:`CampaignResult` per landing region.
+    """
+    plan = plan_campaign(
+        program, store, name, label, trials, func=func, kind=kind,
+        seed=seed, detection_latency=detection_latency,
+        start_trial=start_trial,
+    )
+    for section in plan.sections:
+        if section.missing:
+            plan.commit(store, section, run_section_trials(
+                program, reference_result, reference_output,
+                region=section.status.region, indices=section.missing,
+                span=plan.assignment.span, unit_seed=seed, func=func,
+                kind=kind, detection_latency=detection_latency,
+                injector_factory=injector_factory,
+            ))
+    from_store, injected = close_campaigns(store, [plan])
+    return InlineCampaign(
+        result=plan.compose(per_region),
+        sections=[section.status for section in plan.sections],
+        trials_from_store=from_store,
+        trials_injected=injected,
+    )
 
 
 def incremental_campaign(
@@ -776,87 +815,43 @@ def incremental_campaign(
     store: Optional[OutcomeStore] = None,
     per_region: Optional[Dict[str, CampaignResult]] = None,
 ) -> InlineCampaign:
-    """Store-backed campaign of one program, sections run inline.
+    """Store-backed campaign of one flavour or backend (default store).
 
-    The single-process analogue of :func:`run_incremental_fault_campaign`
-    — used by the ``serve`` ``faults`` op (incremental by default), the
-    ``repro recovery compare --use-store`` join, and the campaign-cache
-    bench.  ``seed`` is the *unit* seed (callers derive it exactly as
-    their monolithic path would), so the composed result is bit-identical
-    to :func:`repro.sim.faults.fault_campaign` (or
-    ``backend.campaign(...)``) at the same parameters.
-
-    ``name`` scopes store keys and should be stable across source edits
-    (it is provenance, not content — the code content is in the
-    per-function fingerprints), so editing one function of a served or
-    benched program re-injects only that function's sections.
+    ``seed`` is the *unit* seed (callers derive it exactly as their
+    store-less path would), so the composed result is bit-identical to
+    :func:`repro.sim.faults.fault_campaign` (or ``backend.campaign``) at
+    the same parameters.  ``name`` scopes store keys and should be
+    stable across source edits (it is provenance, not content — the
+    code content is in the per-function fingerprints), so editing one
+    function re-injects only that function's sections.
     """
-    store = store or default_store()
-    if backend is not None:
-        label = backend.name
-        program = backend.campaign_program(
-            original_program, idempotent_program
-        )
-        injector_factory = backend.make_injector
-    else:
-        label = flavour
-        program = (
-            idempotent_program if flavour == "idempotent"
-            else original_program
-        )
-        injector_factory = None
+    target = campaign_target(flavour, backend)
+    return run_campaign(
+        target.program(original_program, idempotent_program),
+        reference_result, reference_output, trials=trials, func=func,
+        kind=kind, seed=seed, detection_latency=detection_latency,
+        injector_factory=target.injector_factory, per_region=per_region,
+        store=store or default_store(), name=name, label=target.label,
+    )
 
-    trace = trace_eligibility(program, func=func)
-    assignment = assign_trials(
-        trace, seed, trials, kind=kind, detection_latency=detection_latency
-    )
-    plans = plan_sections(
-        store, name, func, label, kind, detection_latency, seed,
-        assignment, program,
-    )
-    index_entries: Dict[str, dict] = {}
-    for plan in plans:
-        if plan.missing:
-            rows = run_section_trials(
-                program, reference_result, reference_output,
-                region=plan.status.region, indices=plan.missing,
-                span=assignment.span, unit_seed=seed, func=func, kind=kind,
-                detection_latency=detection_latency,
-                injector_factory=injector_factory,
-            )
-            merged = merge_section_rows(plan.record, rows)
-            plan.record = make_section_record(
-                name, func, label, kind, detection_latency, seed,
-                plan.status.region, plan.status.fingerprint, merged,
-            )
-            store.put(plan.status.key, plan.record)
-        index_entries[plan.status.identity] = {
-            "key": plan.status.key,
-            "fingerprint": plan.status.fingerprint,
-            "pipeline": PIPELINE_VERSION,
-        }
-    store.update_index(index_entries)
 
-    result = compose_campaign(
-        plans, len(assignment.uninjected), per_region=per_region
+def _section_unit(payload: dict) -> dict:
+    """Worker: inject one section's missing trial indices."""
+    target, program, reference, reference_output = unit_inputs(payload)
+    rows = run_section_trials(
+        program, reference, reference_output,
+        region=payload["region"], indices=payload["indices"],
+        span=payload["span"], unit_seed=payload["unit_seed"],
+        func=payload["entry"], kind=payload["kind"],
+        detection_latency=payload["detection_latency"],
+        injector_factory=target.injector_factory,
     )
-    _publish_campaign_metrics(result, kind)
-    outcome = InlineCampaign(
-        result=result,
-        sections=[plan.status for plan in plans],
-        trials_from_store=sum(p.status.trials_cached for p in plans),
-        trials_injected=sum(len(p.missing) for p in plans),
-    )
-    observer = get_observer()
-    if outcome.trials_from_store:
-        observer.counter("campaign.trials").inc(
-            outcome.trials_from_store, source="store"
-        )
-    if outcome.trials_injected:
-        observer.counter("campaign.trials").inc(
-            outcome.trials_injected, source="injected"
-        )
-    return outcome
+    return {
+        "workload": payload["workload"],
+        "label": payload["label"],
+        "region": payload["region"],
+        "rows": rows,
+    }
 
 
 # ----------------------------------------------------------------------
@@ -924,180 +919,96 @@ def run_incremental_fault_campaign(
 ) -> IncrementalCampaignSummary:
     """Suite-wide fault campaign, sectioned and backed by the outcome store.
 
-    The incremental counterpart of
-    :func:`repro.harness.campaign.run_fault_campaign`: same workload ×
-    label grid, same spawn-key seeds, but each landing region is one
-    work unit and previously stored sections are composed instead of
-    re-injected.  Composed results are bit-identical to the monolithic
-    campaign at equal budgets.
+    The driver's steps (:func:`plan_campaign`, :meth:`CampaignPlan.commit`,
+    :func:`close_campaigns`, :meth:`CampaignPlan.compose`) with the
+    section injection distributed over the
+    :class:`~repro.harness.campaign.CampaignRunner` stack: same workload
+    × label grid and spawn-key seeds as
+    :func:`repro.harness.campaign.run_fault_campaign`, each landing
+    region one work unit, and previously stored sections composed
+    instead of re-injected.  Composed results are bit-identical to the
+    monolithic campaign at equal budgets.
     """
-    from repro.experiments.common import prebuild_pairs, resolve_workloads
-    from repro.recovery.backends import get_backend
+    from repro.experiments.common import build_pair, prebuild_pairs, resolve_workloads
 
     telemetry = telemetry or Telemetry(label="incremental campaign")
-    observer = get_observer()
     if manifest_path:
-        observer.log(f"campaign manifest: {manifest_path}")
+        get_observer().log(f"campaign manifest: {manifest_path}")
     store = store or default_store()
-    flavour_list, backend_list = campaign_labels(flavours, backends)
+    targets = campaign_targets(flavours, backends)
     workloads = resolve_workloads(names)
     prebuild_pairs([w.name for w in workloads], jobs=jobs, telemetry=telemetry)
 
-    # ------------------------------------------------------------------
-    # Plan: one eligibility trace per workload × label, then store probes
-    # ------------------------------------------------------------------
-    label_specs: List[Tuple[str, str, Optional[str], str]] = []
-    for flavour in flavour_list:
-        label_specs.append((flavour, flavour, None, flavour))
-    for backend_name in backend_list:
-        backend = get_backend(backend_name)
-        label_specs.append(
-            (backend_name, backend.flavour, backend_name, backend.seed_key)
-        )
-
-    campaign_plans: Dict[Tuple[str, str], List[_SectionPlan]] = {}
-    uninjected: Dict[Tuple[str, str], int] = {}
+    # Plan: one traced run per workload × label, then store probes.
+    plans: Dict[Tuple[str, str], CampaignPlan] = {}
     units: List[Tuple[str, dict]] = []
     provenance: Dict[str, dict] = {}
-    unit_meta: Dict[str, Tuple[Tuple[str, str], int]] = {}
-    with telemetry.phase(
-        "plan", units=len(workloads) * max(1, len(label_specs))
-    ):
+    unit_sections: Dict[str, Tuple[CampaignPlan, _SectionPlan]] = {}
+    with telemetry.phase("plan", units=len(workloads) * max(1, len(targets))):
         for workload in workloads:
-            for label, flavour, backend_name, seed_key in label_specs:
-                _idem, program, _factory = _resolve_campaign_program(
-                    workload.name, flavour, backend_name
-                )
-                unit_seed = derive_seed(seed, workload.name, seed_key)
-                trace = trace_eligibility(program, func=workload.entry)
-                assignment = assign_trials(
-                    trace, unit_seed, trials, kind=kind,
+            original, idempotent = build_pair(workload.name)
+            for target in targets:
+                unit_seed = derive_seed(seed, workload.name, target.seed_key)
+                plan = plans[(workload.name, target.label)] = plan_campaign(
+                    target.program(original.program, idempotent.program),
+                    store, workload.name, target.label, trials,
+                    func=workload.entry, kind=kind, seed=unit_seed,
                     detection_latency=detection_latency,
                 )
-                plans = plan_sections(
-                    store, workload.name, workload.entry, label, kind,
-                    detection_latency, unit_seed, assignment, program,
-                )
-                campaign_plans[(workload.name, label)] = plans
-                uninjected[(workload.name, label)] = len(
-                    assignment.uninjected
-                )
-                label_tag = (
-                    f"backend-{backend_name}" if backend_name else flavour
-                )
-                for plan_index, plan in enumerate(plans):
-                    if not plan.missing:
+                for section in plan.sections:
+                    if not section.missing:
                         continue
                     unit_id = _section_unit_id(
-                        workload.name, label_tag, kind, seed,
-                        detection_latency, plan.status.key, plan.missing,
+                        workload.name, target.tag, kind, seed,
+                        detection_latency, section.status.key,
+                        section.missing,
                     )
-                    units.append((unit_id, {
+                    payload = {
                         "workload": workload.name,
-                        "flavour": flavour,
-                        "backend": backend_name,
-                        "label": label,
+                        "flavour": target.flavour,
+                        "label": target.label,
                         "entry": workload.entry,
-                        "region": plan.status.region,
-                        "indices": plan.missing,
-                        "span": assignment.span,
+                        "region": section.status.region,
+                        "indices": section.missing,
+                        "span": plan.assignment.span,
                         "unit_seed": unit_seed,
                         "kind": kind,
                         "detection_latency": detection_latency,
-                    }))
+                    }
+                    if target.backend is not None:
+                        payload["backend"] = target.label
+                    units.append((unit_id, payload))
                     provenance[unit_id] = {
                         "pipeline": PIPELINE_VERSION,
                         "schema": STORE_SCHEMA,
-                        "label": label_tag,
-                        "cfg": plan.status.fingerprint,
+                        "label": target.tag,
+                        "cfg": section.status.fingerprint,
                     }
-                    unit_meta[unit_id] = (
-                        (workload.name, label), plan_index,
-                    )
+                    unit_sections[unit_id] = (plan, section)
 
-    # ------------------------------------------------------------------
-    # Inject the missing sections on the shared runner stack
-    # ------------------------------------------------------------------
-    manifest = RunManifest(manifest_path) if manifest_path else None
-    runner = CampaignRunner(
-        manifest=manifest, jobs=jobs, telemetry=telemetry,
-        retry=retry, unit_timeout=unit_timeout, chaos=chaos,
-    )
-    records = runner.run(
-        _section_unit, units, phase="inject", provenance=provenance
-    )
-
-    # ------------------------------------------------------------------
-    # Merge executed sections into the store, then compose
-    # ------------------------------------------------------------------
+    # Inject the missing sections, merge them into the store, compose.
     summary = IncrementalCampaignSummary(
         trials=trials, seed=seed, kind=kind,
-        labels=tuple(label for label, _f, _b, _s in label_specs),
-        executed_units=runner.executed,
-        skipped_units=runner.skipped,
-        failed_units=runner.failed,
-        quarantined_units=runner.quarantined + runner.quarantine_skipped,
-        telemetry=telemetry,
-        store_root=store.root,
+        labels=tuple(target.label for target in targets),
+        telemetry=telemetry, store_root=store.root,
     )
-    index_entries: Dict[str, dict] = {}
-    for unit_id, _payload in units:
-        record = records.get(unit_id)
-        if record is None:
-            continue
-        campaign_key, plan_index = unit_meta[unit_id]
-        plan = campaign_plans[campaign_key][plan_index]
-        if record.quarantined:
-            summary.errors.append(
-                f"{unit_id}: quarantined after {record.attempts} attempts "
-                f"[{record.data.get('category', UNIT_ERROR)}]: "
-                f"{record.data.get('error')}"
-            )
-            summary.quarantined.append(
-                (unit_id, record.data.get("category", UNIT_ERROR))
-            )
-            continue
-        if not record.ok:
-            summary.errors.append(f"{unit_id}: {record.data.get('error')}")
-            continue
-        rows = record.data.get("rows", [])
-        merged = merge_section_rows(plan.record, rows)
-        workload_name, label = campaign_key
-        plan.record = make_section_record(
-            workload_name, _payload["entry"], label, kind,
-            detection_latency, _payload["unit_seed"],
-            plan.status.region, plan.status.fingerprint, merged,
-        )
-        store.put(plan.status.key, plan.record)
+    done = run_units(
+        summary, _section_unit, units, provenance,
+        manifest_path=manifest_path, jobs=jobs, retry=retry,
+        unit_timeout=unit_timeout, chaos=chaos,
+    )
+    for unit_id, data in done.items():
+        plan, section = unit_sections[unit_id]
+        plan.commit(store, section, data.get("rows", []))
 
-    for (workload_name, label), plans in campaign_plans.items():
-        for plan in plans:
-            summary.sections.append(plan.status)
-            index_entries[plan.status.identity] = {
-                "key": plan.status.key,
-                "fingerprint": plan.status.fingerprint,
-                "pipeline": PIPELINE_VERSION,
-            }
-        per_region: Dict[str, CampaignResult] = {}
-        composed = compose_campaign(
-            plans, uninjected[(workload_name, label)], per_region=per_region
-        )
-        summary.results[(workload_name, label)] = composed
-        summary.per_region[(workload_name, label)] = per_region
-        _publish_campaign_metrics(composed, kind)
-    store.update_index(index_entries)
-    summary.trials_from_store = sum(
-        s.trials_cached for s in summary.sections
+    summary.trials_from_store, summary.trials_injected = close_campaigns(
+        store, list(plans.values())
     )
-    summary.trials_injected = sum(s.trials_run for s in summary.sections)
-    if summary.trials_from_store:
-        observer.counter("campaign.trials").inc(
-            summary.trials_from_store, source="store"
-        )
-    if summary.trials_injected:
-        observer.counter("campaign.trials").inc(
-            summary.trials_injected, source="injected"
-        )
+    for key, plan in plans.items():
+        summary.sections.extend(section.status for section in plan.sections)
+        per_region: Dict[str, CampaignResult] = {}
+        summary.results[key] = plan.compose(per_region)
+        summary.per_region[key] = per_region
     return summary
 
 
@@ -1111,30 +1022,7 @@ def format_incremental_report(summary: IncrementalCampaignSummary) -> str:
     :func:`format_section_accounting` — so a warm re-run's stdout is
     byte-identical to the cold run that populated the store.
     """
-    from repro.experiments.common import format_table
-
-    headers = ["workload", "flavour", "trials", "injected", "recovered",
-               "wrong", "crashed", "recovery"]
-    rows = []
-    for (name, label), result in summary.results.items():
-        rows.append([
-            name, label, result.trials, result.injected,
-            result.recovered_correctly, result.wrong_result, result.crashed,
-            format_rate(result),
-        ])
-    lines = [format_table(headers, rows), ""]
-    for label in summary.labels:
-        total = summary.flavour_totals(label)
-        undetected = (
-            f" undetected={total.undetected}" if total.undetected else ""
-        )
-        lines.append(
-            f"{label:10s}: injected={total.injected} "
-            f"recovered={total.recovered_correctly} "
-            f"wrong={total.wrong_result} crashed={total.crashed}"
-            f"{undetected} "
-            f"({format_rate(total)} recovery)"
-        )
+    lines = summary.result_lines()
     for error in summary.errors:
         lines.append(f"  ! {error}")
     return "\n".join(lines)

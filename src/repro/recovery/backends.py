@@ -5,27 +5,24 @@
 :class:`RecoveryBackend` that can actually *drive* a fault campaign, so
 overhead and recovery behaviour come from the same pluggable layer:
 
-- ``idempotent`` — the paper's scheme, exactly as
-  :class:`repro.sim.faults.FaultInjector` has always run it: discard the
-  store buffer and jump to the restart pointer. Campaign results are
-  bit-identical to the pre-zoo code path (same program, same seeds, same
-  injector).
-- ``tmr`` — instruction-level triple-modular redundancy. Three copies of
-  every operation vote at each check point; a single-fault model means
-  the corrupted lane is always outvoted, so architectural state is never
-  corrupted and "recovery" is a zero-cost in-place correction. Highest
-  dynamic overhead, best recovery.
-- ``checkpoint_log`` — checkpoint-and-log in the AutoCheck mould:
-  periodic register-file checkpoints plus an undo log of committed
-  stores; detection restores the last checkpoint and rolls the log back.
-  The statically derived checkpoint contents come from
-  :mod:`repro.recovery.checkpoint` (live sets at region boundaries).
+- ``idempotent`` — the paper's scheme: discard the store buffer and jump
+  to the restart pointer, on the idempotent binary;
+- ``tmr`` — instruction-level triple-modular redundancy: the vote
+  corrects a fault in place (highest overhead, best recovery);
+- ``checkpoint_log`` — AutoCheck-style checkpoint-and-log: register
+  checkpoints plus an undo log of committed stores, with checkpoint
+  contents derived in :mod:`repro.recovery.checkpoint`.
 
-All three report the common :class:`RecoveryOutcome` (an alias of
+A backend is a recovery policy over the one
+:class:`~repro.sim.faults.FaultInjector`: the injector fixes where a
+fault lands, when it is injected and when it is detected, and each
+backend's injector subclass says only what the fault corrupts and how
+detection recovers.  All three report the common
+:class:`RecoveryOutcome` (an alias of
 :class:`repro.sim.faults.FaultOutcome` — recovered / detected /
-undetected / crashed plus region attribution), reuse the campaign
-bucket arithmetic of :func:`repro.sim.faults.fault_campaign`, and price
-their fault-free overhead through :func:`repro.recovery.schemes.run_scheme`.
+undetected / crashed plus region attribution), campaign through the one
+driver (:func:`repro.harness.incremental.run_campaign`), and price their
+fault-free overhead through :func:`repro.recovery.schemes.run_scheme`.
 """
 
 from __future__ import annotations
@@ -48,8 +45,6 @@ from repro.sim.faults import (
     FaultInjector,
     FaultOutcome,
     FaultPlan,
-    fault_campaign,
-    region_key,
 )
 from repro.sim.simulator import Simulator
 
@@ -60,7 +55,7 @@ RecoveryOutcome = FaultOutcome
 _UNMAPPED = object()
 
 
-class TMRInjector:
+class TMRInjector(FaultInjector):
     """Instruction-level TMR under a single-fault model.
 
     The fault corrupts one of three redundant lanes; the majority vote at
@@ -70,68 +65,17 @@ class TMRInjector:
     a fault is the same way DMR does: detection latency outlives the
     program (``undetected`` bucket — result still correct, since the
     voted value was).
-
-    Injection eligibility mirrors :class:`FaultInjector` exactly (same
-    target arithmetic, same eligible opcodes), so a TMR campaign faces
-    the identical fault set as an idempotence campaign over the same
-    program.
     """
 
-    def __init__(self, sim: Simulator, plan: FaultPlan, recover: bool = True) -> None:
-        self.sim = sim
-        self.plan = plan
-        self.recover = recover
-        self.outcome = FaultOutcome()
-        self._pending = False
-        self._armed = True
-        self._injected_at = 0
-        sim.pre_hook = self._pre
-        sim.post_hook = self._post
+    def corrupt(self, sim: Simulator, instr: MachineInstr) -> None:
+        """One lane is wrong; the other two outvote it."""
 
-    def _pre(self, sim: Simulator, instr: MachineInstr) -> None:
-        if (
-            self._pending
-            and instr.opcode in Simulator.CHECK_POINTS
-            and sim.instructions - self._injected_at >= self.plan.detection_latency
-        ):
-            self._pending = False
-            self.outcome.detected = True
-            self.outcome.detect_gap = sim.instructions - self._injected_at
-            if self.recover:
-                # Majority vote corrects in place: no rollback, no
-                # re-execution, nothing to restore.
-                self.outcome.recovered = True
-            return
-        if (
-            self._armed
-            and self.plan.kind == FAULT_CONTROL
-            and sim.instructions + 1 >= self.plan.target_instruction
-            and instr.opcode == "bnz"
-        ):
-            # One lane mispredicts the branch condition; the other two
-            # outvote it, so the branch resolves correctly — record the
-            # injection without perturbing state.
-            self._mark(sim)
-
-    def _post(self, sim: Simulator, instr: MachineInstr, loc) -> None:
-        if (
-            self._armed
-            and self.plan.kind == FAULT_VALUE
-            and sim.instructions >= self.plan.target_instruction
-            and instr.dst is not None
-            and not instr.is_memory
-        ):
-            self._mark(sim)
-
-    def _mark(self, sim: Simulator) -> None:
-        self._armed = False
-        self.outcome.injected = True
-        self.outcome.region = region_key(sim)
-        self._injected_at = sim.instructions
-        self._pending = True
+    def restore(self, sim: Simulator) -> bool:
+        """The vote corrected in place: nothing to restore or re-run."""
+        return False
 
 
-class CheckpointLogInjector:
+class CheckpointLogInjector(FaultInjector):
     """Checkpoint-and-log recovery over the store-instrumented binary.
 
     State capture is the scheme's defining move: every ``interval``-th
@@ -163,20 +107,20 @@ class CheckpointLogInjector:
         recover: bool = True,
         interval: int = DEFAULT_INTERVAL,
     ) -> None:
-        self.sim = sim
-        self.plan = plan
-        self.recover = recover
         self.interval = interval
-        self.outcome = FaultOutcome()
-        self.checkpoints_taken = 0
-        self._pending = False
-        self._armed = True
-        self._injected_at = 0
         self._ckpt: Optional[Tuple] = None
         self._undo: List[Tuple[int, object]] = []
         self._since = 0
-        sim.pre_hook = self._pre
-        sim.post_hook = self._post
+        super().__init__(sim, plan, recover=recover)
+
+    def _install(self) -> None:
+        # Checkpoints are kept until the fault is detected: a restore may
+        # target one taken before injection.
+        sim = self.sim
+        if self.armed or self.pending:
+            sim.pre_hook, sim.post_hook = self._pre, self._post
+        else:
+            sim.pre_hook = sim.post_hook = None
 
     # ------------------------------------------------------------------
     # Checkpoint machinery
@@ -190,9 +134,8 @@ class CheckpointLogInjector:
         )
         self._undo = []
         self._since = 0
-        self.checkpoints_taken += 1
 
-    def _restore(self, sim: Simulator) -> None:
+    def restore(self, sim: Simulator) -> bool:
         depth, int_regs, float_regs, loc = self._ckpt
         # Depth equality is structural: every call-depth change takes a
         # fresh checkpoint, so detection always happens in the frame the
@@ -210,73 +153,45 @@ class CheckpointLogInjector:
         sim.int_regs[:] = int_regs
         sim.float_regs[:] = float_regs
         sim.loc = loc.copy()
+        sim.redirect()
+        return True
 
     # ------------------------------------------------------------------
-    # Hooks
+    # Hooks: checkpoint bookkeeping around the injector's own
     # ------------------------------------------------------------------
     def _pre(self, sim: Simulator, instr: MachineInstr) -> None:
-        if sim.frames and (self._ckpt is None or len(sim.frames) != self._ckpt[0]):
+        fresh = bool(sim.frames) and (
+            self._ckpt is None or len(sim.frames) != self._ckpt[0]
+        )
+        if fresh:
             self._take(sim)
-        if instr.opcode in Simulator.CHECK_POINTS:
-            if (
-                self._pending
-                and sim.instructions - self._injected_at >= self.plan.detection_latency
-            ):
-                self.outcome.detected = True
-                self.outcome.detect_gap = sim.instructions - self._injected_at
-                self._pending = False
-                if self.recover:
-                    mark = sim.instructions
-                    self._restore(sim)
-                    sim.redirect()
-                    self.outcome.recovered = True
-                    self.outcome.recovery_instructions = mark
+        if self.pending:
+            self._detect(sim, instr)
+            if not self.pending:
                 return
+        if instr.opcode in Simulator.CHECK_POINTS:
             self._since += 1
             if self._since >= self.interval:
                 self._take(sim)
-            # The buffered stores commit when this check point executes;
-            # log their pre-images so a later restore can unwind them.
-            for addr, _value in sim.store_buffer:
-                try:
-                    old = sim.memory.peek(addr)
-                except KeyError:
-                    old = _UNMAPPED
-                self._undo.append((addr, old))
-        if (
-            self._armed
-            and self.plan.kind == FAULT_CONTROL
-            and sim.instructions + 1 >= self.plan.target_instruction
-            and instr.opcode == "bnz"
-        ):
-            cond = instr.srcs[0]
-            value = sim.get_reg(cond)
-            sim.set_reg(cond, 0 if value else 1)
-            self._armed = False
-            self.outcome.injected = True
-            self.outcome.region = region_key(sim)
-            self._injected_at = sim.instructions
-            self._pending = True
+                fresh = True
+            if not fresh:
+                # The buffered stores commit when this check point
+                # executes; log their pre-images so a later restore can
+                # unwind them.  Under a checkpoint taken here they are
+                # part of the snapshot instead: the instructions that
+                # produced them lie before its replay point.
+                for addr, _value in sim.store_buffer:
+                    try:
+                        old = sim.memory.peek(addr)
+                    except KeyError:
+                        old = _UNMAPPED
+                    self._undo.append((addr, old))
+        if self.armed and self.plan.kind == FAULT_CONTROL:
+            self._arm_control(sim, instr)
 
     def _post(self, sim: Simulator, instr: MachineInstr, loc) -> None:
-        if (
-            self._armed
-            and self.plan.kind == FAULT_VALUE
-            and sim.instructions >= self.plan.target_instruction
-            and instr.dst is not None
-            and not instr.is_memory
-        ):
-            value = sim.get_reg(instr.dst)
-            if isinstance(value, float):
-                corrupted = -(value + 1.0)
-            else:
-                corrupted = value ^ self.plan.flip_mask
-            sim.set_reg(instr.dst, corrupted)
-            self._armed = False
-            self.outcome.injected = True
-            self.outcome.region = region_key(sim)
-            self._injected_at = sim.instructions
-            self._pending = True
+        if self.armed and self.plan.kind == FAULT_VALUE:
+            self._arm_value(sim, instr, loc)
         if instr.opcode == "callb":
             # I/O and allocation are not replayable; never allow a
             # restore to cross them.
@@ -287,11 +202,11 @@ class RecoveryBackend:
     """One recovery strategy: a program to run, an injector, a price.
 
     Subclasses define which binary executes under fault injection
-    (:meth:`campaign_program`) and which injector drives detection and
-    recovery (:meth:`make_injector`); the shared :meth:`campaign` /
-    :meth:`overhead` machinery then reports the common
-    :class:`RecoveryOutcome` buckets and the scheme's fault-free dynamic
-    overhead against the DMR baseline.
+    (:meth:`campaign_program`) and which :class:`FaultInjector` subclass
+    carries the scheme's recovery policy (:attr:`injector`); the shared
+    :meth:`campaign` / :meth:`overhead` machinery then reports the
+    common :class:`RecoveryOutcome` buckets and the scheme's fault-free
+    dynamic overhead against the DMR baseline.
     """
 
     #: registry key (``--backends``, serve ``scheme``, bench rows)
@@ -304,6 +219,8 @@ class RecoveryBackend:
     #: idempotent backend reuses the legacy flavour key so zoo campaigns
     #: are bit-identical to pre-zoo ``flavour="idempotent"`` units.
     seed_key: str = ""
+    #: the injector carrying this scheme's recovery policy
+    injector = FaultInjector
 
     def campaign_program(
         self,
@@ -313,7 +230,7 @@ class RecoveryBackend:
         raise NotImplementedError
 
     def make_injector(self, sim: Simulator, plan: FaultPlan, recover: bool = True):
-        raise NotImplementedError
+        return self.injector(sim, plan, recover=recover)
 
     def campaign(
         self,
@@ -323,61 +240,22 @@ class RecoveryBackend:
         reference_output: List[object],
         trials: int = 50,
         func: str = "main",
-        args: Tuple = (),
         kind: str = FAULT_VALUE,
         seed: int = 12345,
-        recover: bool = True,
         detection_latency: int = 0,
         start_trial: int = 0,
         per_region: Optional[Dict[str, CampaignResult]] = None,
     ) -> CampaignResult:
         """Run a standard fault campaign under this backend's scheme."""
-        program = self.campaign_program(original_program, idempotent_program)
-        return fault_campaign(
-            program,
-            reference_result,
-            reference_output,
-            trials=trials,
-            func=func,
-            args=args,
-            kind=kind,
-            seed=seed,
-            recover=recover,
-            detection_latency=detection_latency,
-            start_trial=start_trial,
-            injector_factory=self.make_injector,
+        from repro.harness.incremental import run_campaign
+
+        return run_campaign(
+            self.campaign_program(original_program, idempotent_program),
+            reference_result, reference_output, trials=trials, func=func,
+            kind=kind, seed=seed, detection_latency=detection_latency,
+            start_trial=start_trial, injector_factory=self.make_injector,
             per_region=per_region,
-        )
-
-    def run_trial(
-        self,
-        program: MachineProgram,
-        seed: int,
-        index: int,
-        span: int,
-        func: str = "main",
-        args: Tuple = (),
-        kind: str = FAULT_VALUE,
-        detection_latency: int = 0,
-        recover: bool = True,
-    ) -> FaultOutcome:
-        """One campaign trial under this backend's injector.
-
-        ``program`` must be this backend's :meth:`campaign_program` —
-        computed once per campaign so per-section drivers do not
-        re-instrument it per trial.  Outcomes are bit-identical to the
-        corresponding trial of :meth:`campaign` at the same
-        ``(seed, index, span)``, which is what lets the incremental
-        harness (:mod:`repro.harness.incremental`) campaign all backends
-        per-section through one interface.
-        """
-        from repro.sim.faults import run_planned_trial
-
-        return run_planned_trial(
-            program, seed, index, span, func=func, args=args, kind=kind,
-            detection_latency=detection_latency, recover=recover,
-            injector_factory=self.make_injector,
-        )
+        ).result
 
     def overhead(
         self,
@@ -407,9 +285,6 @@ class IdempotentBackend(RecoveryBackend):
     def campaign_program(self, original_program, idempotent_program):
         return idempotent_program
 
-    def make_injector(self, sim, plan, recover=True):
-        return FaultInjector(sim, plan, recover=recover)
-
 
 class TMRBackend(RecoveryBackend):
     """Instruction-level TMR on the original binary."""
@@ -418,12 +293,10 @@ class TMRBackend(RecoveryBackend):
     scheme = SCHEME_TMR
     flavour = "original"
     seed_key = "tmr"
+    injector = TMRInjector
 
     def campaign_program(self, original_program, idempotent_program):
         return original_program
-
-    def make_injector(self, sim, plan, recover=True):
-        return TMRInjector(sim, plan, recover=recover)
 
 
 class CheckpointLogBackend(RecoveryBackend):

@@ -34,7 +34,6 @@ from repro.recovery.predict import (
     profile_regions,
 )
 from repro.sim.faults import FAULT_VALUE, CampaignResult, format_rate
-from repro.sim.simulator import Simulator
 
 DEFAULT_TRIALS = 24
 DEFAULT_THRESHOLD = 0.25
@@ -103,15 +102,46 @@ class CompareReport:
 
 def parse_backend_names(names: Optional[Sequence[str]]) -> Tuple[str, ...]:
     """Validate a backend subset; unknown names list the valid choices."""
-    if not names:
-        return BACKEND_NAMES
-    unknown = [name for name in names if name not in BACKEND_NAMES]
-    if unknown:
-        raise ValueError(
-            f"unknown recovery backend(s) {', '.join(sorted(unknown))} "
-            f"(valid: {', '.join(BACKEND_NAMES)})"
-        )
-    return tuple(names)
+    from repro.harness.campaign import parse_label_subset
+
+    return (
+        parse_label_subset(names, BACKEND_NAMES, "recovery backend")
+        or BACKEND_NAMES
+    )
+
+
+def _predict_and_measure(
+    backend,
+    original_program,
+    idempotent_program,
+    reference: object,
+    reference_output: List[object],
+    entry: str,
+    trials: int,
+    seed: int,
+    kind: str,
+    latency: int,
+    store=None,
+    name: str = "adhoc",
+) -> Tuple[OutcomePrediction, CampaignResult, Dict[str, CampaignResult]]:
+    """One backend on one program: static prediction, measured campaign
+    and its per-region buckets (the campaign optionally store-backed)."""
+    from repro.harness.incremental import run_campaign
+
+    program = backend.campaign_program(original_program, idempotent_program)
+    profiles, _result, _sim = profile_regions(program, func=entry)
+    prediction = predict_outcomes(
+        profiles, backend.name, latency=latency, kind=kind,
+        interval=getattr(backend, "interval", 8),
+    )
+    per_region: Dict[str, CampaignResult] = {}
+    campaign = run_campaign(
+        program, reference, reference_output, trials=trials, func=entry,
+        kind=kind, seed=seed, detection_latency=latency,
+        injector_factory=backend.make_injector, per_region=per_region,
+        store=store, name=name, label=backend.name,
+    ).result
+    return prediction, campaign, per_region
 
 
 def compare_workload(
@@ -125,20 +155,22 @@ def compare_workload(
 ) -> WorkloadReport:
     """Run every backend's campaign + prediction for one workload.
 
-    With ``use_store`` the per-backend campaigns go through the
-    incremental harness (:mod:`repro.harness.incremental`): previously
-    stored section outcomes compose from the content-addressed outcome
-    store and only missing sections inject.  Results and the per-region
-    join are bit-identical to the monolithic path at equal budgets.
+    With ``use_store`` the campaign driver
+    (:func:`repro.harness.incremental.run_campaign`) composes previously
+    stored section outcomes from the content-addressed outcome store and
+    injects only missing sections; results and the per-region join are
+    bit-identical to the store-less run at equal budgets.
     """
     from repro.experiments.common import build_pair
+    from repro.harness.campaign import reference_run
+    from repro.harness.incremental import default_store
     from repro.workloads import get_workload
 
     workload = get_workload(name)
     original, idempotent = build_pair(name)
-    sim = Simulator(idempotent.program)
-    reference = sim.run(workload.entry, ())
-    reference_output = list(sim.output)
+    reference, reference_output = reference_run(
+        idempotent.program, name, workload.entry
+    )
 
     plans = module_checkpoint_plans(idempotent.module)
     report = WorkloadReport(
@@ -146,45 +178,15 @@ def compare_workload(
         checkpoint_words=mean_checkpoint_words(plans),
         checkpoint_boundaries=sum(p.boundaries for p in plans.values()),
     )
+    store = default_store() if use_store else None
     for backend_name in backends:
         backend = get_backend(backend_name)
-        program = backend.campaign_program(original.program, idempotent.program)
-        profiles, _result, _sim = profile_regions(program, func=workload.entry)
-        prediction = predict_outcomes(
-            profiles, backend_name, latency=latency, kind=kind,
-            interval=getattr(backend, "interval", 8),
+        prediction, campaign, per_region = _predict_and_measure(
+            backend, original.program, idempotent.program, reference,
+            reference_output, workload.entry, trials=trials,
+            seed=derive_seed(seed, name, backend.seed_key), kind=kind,
+            latency=latency, store=store, name=name,
         )
-        per_region: Dict[str, CampaignResult] = {}
-        if use_store:
-            from repro.harness.incremental import incremental_campaign
-
-            campaign = incremental_campaign(
-                original.program,
-                idempotent.program,
-                reference,
-                reference_output,
-                trials=trials,
-                func=workload.entry,
-                kind=kind,
-                seed=derive_seed(seed, name, backend.seed_key),
-                detection_latency=latency,
-                backend=backend,
-                name=name,
-                per_region=per_region,
-            ).result
-        else:
-            campaign = backend.campaign(
-                original.program,
-                idempotent.program,
-                reference,
-                reference_output,
-                trials=trials,
-                func=workload.entry,
-                kind=kind,
-                seed=derive_seed(seed, name, backend.seed_key),
-                detection_latency=latency,
-                per_region=per_region,
-            )
         report.backends.append(
             BackendReport(
                 backend=backend_name,
@@ -324,22 +326,18 @@ def measure_divergence(
     Returns 0.0 when the campaign injects nothing (no divergence
     evidence either way).
     """
+    from repro.harness.campaign import reference_run
+
     original = compile_minic(source, idempotent=False)
     idempotent = compile_minic(source, idempotent=True)
-    sim = Simulator(idempotent.program)
-    reference = sim.run("main", ())
-    reference_output = list(sim.output)
-
-    backend = get_backend(backend_name)
-    program = backend.campaign_program(original.program, idempotent.program)
-    profiles, _result, _sim = profile_regions(program)
-    prediction = predict_outcomes(
-        profiles, backend_name, latency=latency, kind=kind,
-        interval=getattr(backend, "interval", 8),
+    reference, reference_output = reference_run(
+        idempotent.program, "divergence", "main"
     )
-    campaign = backend.campaign(
-        original.program, idempotent.program, reference, reference_output,
-        trials=trials, kind=kind, seed=seed, detection_latency=latency,
+
+    prediction, campaign, _regions = _predict_and_measure(
+        get_backend(backend_name), original.program, idempotent.program,
+        reference, reference_output, "main", trials=trials, seed=seed,
+        kind=kind, latency=latency,
     )
     if not campaign.injected:
         return 0.0

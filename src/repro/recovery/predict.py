@@ -33,7 +33,13 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.codegen.machine import MachineInstr, MachineProgram
-from repro.sim.faults import CampaignResult, region_key
+from repro.sim.faults import (
+    MAX_INSTRUCTIONS,
+    CampaignResult,
+    is_control_site,
+    is_value_site,
+    region_key,
+)
 from repro.sim.simulator import Simulator
 
 
@@ -44,8 +50,8 @@ class RegionProfile:
     key: str
     entries: int = 0       # dynamic executions of the region
     instructions: int = 0  # dynamic instructions attributed to it
-    eligible: int = 0      # value-fault-eligible instructions (dst, non-memory)
-    branches: int = 0      # control-fault-eligible instructions (bnz)
+    eligible: int = 0      # value-fault sites
+    branches: int = 0      # control-fault sites
     checks: int = 0        # dynamic check points (detection opportunities)
     stores: int = 0        # memory writes (st/stslot)
 
@@ -68,7 +74,7 @@ def profile_regions(
     program: MachineProgram,
     func: str = "main",
     args: Tuple = (),
-    max_instructions: int = 50_000_000,
+    max_instructions: int = MAX_INSTRUCTIONS,
 ) -> Tuple[Dict[str, RegionProfile], object, Simulator]:
     """One fault-free run collecting per-region dynamic features.
 
@@ -90,9 +96,9 @@ def profile_regions(
             profile.entries += 1
             current[0] = key
         profile.instructions += 1
-        if instr.dst is not None and not instr.is_memory:
+        if is_value_site(instr):
             profile.eligible += 1
-        if instr.opcode == "bnz":
+        if is_control_site(instr):
             profile.branches += 1
         if instr.opcode in Simulator.CHECK_POINTS:
             profile.checks += 1
@@ -210,13 +216,8 @@ def measured_region_results(
         sub = regions.setdefault(region, CampaignResult())
         for row in record.get("trials", []):
             index, bucket, detected = int(row[0]), str(row[1]), row[2]
-            if allowed is not None and index not in allowed:
-                continue
-            sub.trials += 1
-            sub.injected += 1
-            if detected:
-                sub.detected += 1
-            setattr(sub, bucket, getattr(sub, bucket) + 1)
+            if allowed is None or index in allowed:
+                sub.count(bucket, detected)
     return regions
 
 

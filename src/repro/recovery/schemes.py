@@ -33,6 +33,7 @@ from repro.codegen.machine import (
     MachineProgram,
     preg,
 )
+from repro.sim.faults import MAX_INSTRUCTIONS
 from repro.sim.simulator import CostModel, Simulator
 
 SCHEME_DMR = "dmr"
@@ -120,7 +121,7 @@ def run_scheme(
     idempotent_program: MachineProgram,
     func: str = "main",
     args: Tuple = (),
-    max_instructions: int = 50_000_000,
+    max_instructions: int = MAX_INSTRUCTIONS,
 ) -> SchemeRun:
     """Execute one workload under one recovery configuration."""
     if scheme == SCHEME_DMR:

@@ -120,36 +120,27 @@ def execute_unit(item: Dict[str, object]) -> Dict[str, object]:
             f":{program_fingerprint(orig.program)[:16]}"
         )
 
-        def _buckets(campaign) -> Dict[str, int]:
-            return {
+        # Legacy shape: the idempotence scheme campaigns both flavours
+        # so clients can see the recovery delta.
+        if scheme == "idempotent":
+            labels = (("idempotent", None), ("original", None))
+        else:
+            labels = ((None, scheme),)
+        campaigns = {}
+        for flavour, backend in labels:
+            campaign = incremental_campaign(
+                orig.program, idem.program, reference, reference_output,
+                trials=item["trials"], func=entry, kind=item["kind"],
+                seed=item["seed"], flavour=flavour, backend=backend,
+                name=namespace,
+            ).result
+            campaigns[flavour or backend] = {
                 "injected": campaign.injected,
                 "recovered": campaign.recovered_correctly,
                 "wrong": campaign.wrong_result,
                 "crashed": campaign.crashed,
                 "undetected": campaign.undetected,
             }
-
-        campaigns = {}
-        if scheme == "idempotent":
-            # Legacy shape: the idempotence scheme campaigns both
-            # flavours so clients can see the recovery delta.
-            for label in ("idempotent", "original"):
-                campaign = incremental_campaign(
-                    orig.program, idem.program, reference, reference_output,
-                    trials=item["trials"], func=entry, kind=item["kind"],
-                    seed=item["seed"], flavour=label, name=namespace,
-                ).result
-                campaigns[label] = _buckets(campaign)
-        else:
-            from repro.recovery.backends import get_backend
-
-            backend = get_backend(scheme)
-            campaign = incremental_campaign(
-                orig.program, idem.program, reference, reference_output,
-                trials=item["trials"], func=entry, kind=item["kind"],
-                seed=item["seed"], backend=backend, name=namespace,
-            ).result
-            campaigns[scheme] = _buckets(campaign)
         return {"reference": reference, "scheme": scheme,
                 "campaigns": campaigns}
 

@@ -14,6 +14,14 @@ jump to the restart pointer ``rp``. On an idempotent binary this always
 reproduces the fault-free result; on an original (non-idempotent) binary
 the same procedure silently corrupts state — the negative control used in
 tests.
+
+This module states the fault-site rule once (:func:`is_value_site`,
+:func:`is_control_site` and their dynamic indices) and holds the one
+:class:`FaultInjector`; the other schemes of
+:mod:`repro.recovery.backends` subclass it and supply only a recovery
+policy.  :func:`trace_eligibility` enumerates every site of a fault-free
+run, which is what the campaign driver
+(:func:`repro.harness.incremental.run_campaign`) plans trials from.
 """
 
 from __future__ import annotations
@@ -29,6 +37,41 @@ from repro.sim.simulator import SimulationError, Simulator
 
 FAULT_VALUE = "value"      # corrupt an instruction's destination register
 FAULT_CONTROL = "control"  # corrupt a branch condition (wrong control flow)
+
+#: Dynamic-instruction budget of every faulted, traced or profiled run.
+MAX_INSTRUCTIONS = 50_000_000
+
+
+# ----------------------------------------------------------------------
+# The fault-site rule (§2.3)
+# ----------------------------------------------------------------------
+# A value fault lands on a register-writing, non-memory op as it retires
+# (post hook, at dynamic index ``instructions``); a control fault lands
+# on a ``bnz`` before it issues (pre hook, at ``instructions + 1``, the
+# index it will retire at).  A trial fires at the first site whose index
+# reaches its target.  The injector, the eligibility trace and the
+# region profiler all read the rule from here.
+def is_value_site(instr: MachineInstr) -> bool:
+    """Value-fault site: writes a register and is not a memory op.
+
+    Loads are excluded because DMR verifies them directly.
+    """
+    return instr.dst is not None and not instr.is_memory
+
+
+def is_control_site(instr: MachineInstr) -> bool:
+    """Control-fault site: a conditional branch."""
+    return instr.opcode == "bnz"
+
+
+def value_site_index(sim: Simulator) -> int:
+    """Dynamic index of the value site retiring now (post hook)."""
+    return sim.instructions
+
+
+def control_site_index(sim: Simulator) -> int:
+    """Dynamic index of the control site about to issue (pre hook)."""
+    return sim.instructions + 1
 
 
 @dataclass
@@ -87,72 +130,114 @@ def region_key(sim: Simulator) -> str:
 
 
 class FaultInjector:
-    """Drives a simulator run with one planned fault and rp recovery."""
+    """Drives a simulator run with one planned fault and rp recovery.
+
+    The injector owns everything the fault model fixes: arming at the
+    first site of the plan's kind whose index reaches the target,
+    injection, region attribution, and detection at the first check
+    point at least ``detection_latency`` instructions later.  A recovery
+    backend subclasses it and overrides only its policy:
+    :meth:`corrupt` (what the fault does to architectural state) and
+    :meth:`restore` (how detection recovers).  This class is the paper's
+    idempotence scheme: discard unverified stores and jump to ``rp``.
+
+    The run goes through three phases — armed, pending, done — and each
+    installs only the simulator hooks it needs, so a trial pays for no
+    hook at all once its fault is detected.
+    """
 
     def __init__(self, sim: Simulator, plan: FaultPlan, recover: bool = True) -> None:
         self.sim = sim
         self.plan = plan
         self.recover = recover
         self.outcome = FaultOutcome()
-        self._pending = False
-        self._armed = True
+        #: no fault injected yet
+        self.armed = True
+        #: injected, not yet detected
+        self.pending = False
         self._injected_at = 0
-        sim.pre_hook = self._pre
-        sim.post_hook = self._post
+        self._install()
+
+    def _install(self) -> None:
+        """Install the hooks of the current phase."""
+        sim = self.sim
+        if self.armed:
+            control = self.plan.kind == FAULT_CONTROL
+            sim.pre_hook = self._arm_control if control else None
+            sim.post_hook = None if control else self._arm_value
+        elif self.pending:
+            sim.pre_hook, sim.post_hook = self._detect, None
+        else:
+            sim.pre_hook = sim.post_hook = None
 
     # ------------------------------------------------------------------
-    # Hooks
+    # Recovery policy (overridden by backends)
     # ------------------------------------------------------------------
-    def _pre(self, sim: Simulator, instr: MachineInstr) -> None:
-        if (
-            self._pending
-            and instr.opcode in Simulator.CHECK_POINTS
-            and sim.instructions - self._injected_at >= self.plan.detection_latency
-        ):
-            self.outcome.detected = True
-            self.outcome.detect_gap = sim.instructions - self._injected_at
-            self._pending = False
-            if self.recover:
-                mark = sim.instructions
-                sim.recover_to_rp()
-                sim.redirect()
-                self.outcome.recovered = True
-                self.outcome.recovery_instructions = mark
-            return
-        if (
-            self._armed
-            and self.plan.kind == FAULT_CONTROL
-            and sim.instructions + 1 >= self.plan.target_instruction
-            and instr.opcode == "bnz"
-        ):
+    def corrupt(self, sim: Simulator, instr: MachineInstr) -> None:
+        """Perturb state at injection: flip the value or branch decision."""
+        if self.plan.kind == FAULT_CONTROL:
             cond = instr.srcs[0]
-            value = sim.get_reg(cond)
-            sim.set_reg(cond, 0 if value else 1)
-            self._armed = False
-            self.outcome.injected = True
-            self.outcome.region = region_key(sim)
-            self._injected_at = sim.instructions
-            self._pending = True  # detected at the next check point after this branch
+            sim.set_reg(cond, 0 if sim.get_reg(cond) else 1)
+            return
+        value = sim.get_reg(instr.dst)
+        if isinstance(value, float):
+            corrupted = -(value + 1.0)
+        else:
+            corrupted = value ^ self.plan.flip_mask
+        sim.set_reg(instr.dst, corrupted)
 
-    def _post(self, sim: Simulator, instr: MachineInstr, loc) -> None:
+    def restore(self, sim: Simulator) -> bool:
+        """Recover from a detected fault; True if execution re-runs.
+
+        A re-executing recovery charges the dynamic instructions up to
+        detection as ``recovery_instructions``.
+        """
+        sim.recover_to_rp()
+        sim.redirect()
+        return True
+
+    # ------------------------------------------------------------------
+    # Hooks: arming, injection, detection
+    # ------------------------------------------------------------------
+    def _arm_control(self, sim: Simulator, instr: MachineInstr) -> None:
         if (
-            self._armed
-            and self.plan.kind == FAULT_VALUE
-            and sim.instructions >= self.plan.target_instruction
-            and instr.dst is not None
-            and not instr.is_memory  # loads are verified directly by DMR
+            control_site_index(sim) >= self.plan.target_instruction
+            and is_control_site(instr)
         ):
-            value = sim.get_reg(instr.dst)
-            if isinstance(value, float):
-                corrupted = -(value + 1.0)
-            else:
-                corrupted = value ^ self.plan.flip_mask
-            sim.set_reg(instr.dst, corrupted)
-            self._armed = False
-            self.outcome.injected = True
-            self.outcome.region = region_key(sim)
-            self._injected_at = sim.instructions
-            self._pending = True
+            self._inject(sim, instr)
+
+    def _arm_value(self, sim: Simulator, instr: MachineInstr, loc) -> None:
+        if (
+            value_site_index(sim) >= self.plan.target_instruction
+            and is_value_site(instr)
+        ):
+            self._inject(sim, instr)
+
+    def _inject(self, sim: Simulator, instr: MachineInstr) -> None:
+        self.corrupt(sim, instr)
+        self.armed = False
+        self.pending = True  # detected at a later check point
+        self.outcome.injected = True
+        self.outcome.region = region_key(sim)
+        self._injected_at = sim.instructions
+        self._install()
+
+    def _detect(self, sim: Simulator, instr: MachineInstr) -> None:
+        gap = sim.instructions - self._injected_at
+        if (
+            instr.opcode not in Simulator.CHECK_POINTS
+            or gap < self.plan.detection_latency
+        ):
+            return
+        self.pending = False
+        self.outcome.detected = True
+        self.outcome.detect_gap = gap
+        self._install()
+        if self.recover:
+            mark = sim.instructions
+            if self.restore(sim):
+                self.outcome.recovery_instructions = mark
+            self.outcome.recovered = True
 
 
 def run_with_fault(
@@ -161,7 +246,7 @@ def run_with_fault(
     func: str = "main",
     args: Tuple = (),
     recover: bool = True,
-    max_instructions: int = 50_000_000,
+    max_instructions: int = MAX_INSTRUCTIONS,
     injector_factory: Optional[Callable[..., object]] = None,
 ) -> FaultOutcome:
     """Execute ``func`` with one injected fault; returns the outcome.
@@ -217,6 +302,13 @@ class CampaignResult:
         if not self.injected:
             return float("nan")
         return self.recovered_correctly / self.injected
+
+    def count(self, bucket: str, detected: bool) -> None:
+        """Count one injected trial that landed in ``bucket``."""
+        self.trials += 1
+        self.injected += 1
+        self.detected += bool(detected)
+        setattr(self, bucket, getattr(self, bucket) + 1)
 
     def merge(self, other: "CampaignResult") -> "CampaignResult":
         """Fold in another shard of the same campaign (in place)."""
@@ -288,21 +380,58 @@ def trial_plan(
     )
 
 
-def campaign_span(
+@dataclass
+class EligibilityTrace:
+    """Every fault site of one fault-free run, in dynamic order.
+
+    ``value_events[i]`` is the dynamic index of the ``i``-th value site
+    and ``value_regions[i]`` the region a fault there is attributed to;
+    ``control_*`` likewise for control sites.  Because a faulted run's
+    dynamic prefix equals the fault-free one up to injection, a trial
+    lands on the first site at or past its target — so this one run
+    predicts where every trial of a campaign lands without running it.
+    ``span`` bounds the trial targets: they are drawn from ``[1, span)``.
+    """
+
+    span: int
+    instructions: int
+    value_events: List[int] = field(default_factory=list)
+    value_regions: List[str] = field(default_factory=list)
+    control_events: List[int] = field(default_factory=list)
+    control_regions: List[str] = field(default_factory=list)
+
+    def events(self, kind: str) -> Tuple[List[int], List[str]]:
+        if kind == FAULT_VALUE:
+            return self.value_events, self.value_regions
+        return self.control_events, self.control_regions
+
+
+def trace_eligibility(
     program: MachineProgram,
     func: str = "main",
     args: Tuple = (),
-) -> int:
-    """The fault-target range of a campaign over ``program``.
+    max_instructions: int = MAX_INSTRUCTIONS,
+) -> EligibilityTrace:
+    """One fault-free run recording every fault site (and the span)."""
+    sim = Simulator(program, max_instructions=max_instructions)
+    trace = EligibilityTrace(span=1, instructions=0)
 
-    One fault-free run measures the dynamic instruction count; targets
-    are drawn uniformly from ``[1, span)`` so every campaign (monolithic,
-    sharded, or per-section incremental) over the same program faces the
-    identical target distribution.
-    """
-    baseline = Simulator(program)
-    baseline.run(func, args)
-    return max(baseline.instructions - 2, 1)
+    def pre(s: Simulator, instr: MachineInstr) -> None:
+        if is_control_site(instr):
+            trace.control_events.append(control_site_index(s))
+            trace.control_regions.append(region_key(s))
+
+    def post(s: Simulator, instr: MachineInstr, loc) -> None:
+        if is_value_site(instr):
+            trace.value_events.append(value_site_index(s))
+            trace.value_regions.append(region_key(s))
+
+    sim.pre_hook = pre
+    sim.post_hook = post
+    sim.run(func, args)
+    trace.instructions = sim.instructions
+    trace.span = max(sim.instructions - 2, 1)
+    return trace
 
 
 def run_planned_trial(
@@ -311,25 +440,22 @@ def run_planned_trial(
     index: int,
     span: int,
     func: str = "main",
-    args: Tuple = (),
     kind: str = FAULT_VALUE,
     detection_latency: int = 0,
-    recover: bool = True,
     injector_factory: Optional[Callable[..., object]] = None,
 ) -> FaultOutcome:
-    """Execute campaign trial ``index`` exactly as :func:`fault_campaign` would.
+    """Execute trial ``index`` of the campaign seeded ``seed``.
 
     Trial identity is ``(seed, index, span)`` alone, so any partition of
     a campaign's index range — serial, sharded, or the per-region
-    sections of :mod:`repro.harness.incremental` — reproduces the
-    monolithic run's outcomes bit for bit.
+    sections of :mod:`repro.harness.incremental` — reproduces the same
+    outcomes bit for bit.
     """
     plan = trial_plan(
         seed, index, span, kind=kind, detection_latency=detection_latency
     )
     return run_with_fault(
-        program, plan, func=func, args=args, recover=recover,
-        injector_factory=injector_factory,
+        program, plan, func=func, injector_factory=injector_factory,
     )
 
 
@@ -339,58 +465,27 @@ def fault_campaign(
     reference_output: List[object],
     trials: int = 50,
     func: str = "main",
-    args: Tuple = (),
     kind: str = FAULT_VALUE,
     seed: int = 12345,
-    recover: bool = True,
     detection_latency: int = 0,
     start_trial: int = 0,
-    injector_factory: Optional[Callable[..., object]] = None,
     per_region: Optional[Dict[str, CampaignResult]] = None,
 ) -> CampaignResult:
-    """Inject ``trials`` faults at random points; compare against reference.
+    """Trials ``start_trial ..`` of the rp-recovery campaign over ``program``.
 
-    The fault-free dynamic instruction count is measured first so targets
-    are uniform over the execution.  Trial ``i`` is planned by
-    :func:`trial_plan` from ``(seed, start_trial + i)`` alone, so running
-    ``trials=50`` serially and merging two ``trials=25`` shards (the
-    second with ``start_trial=25``) measure the identical fault set.
-
-    ``injector_factory`` swaps the recovery scheme (see
-    :func:`run_with_fault`); the trial plans depend only on the baseline
-    instruction count, so two schemes running the same ``program`` face
-    the identical fault set.  Pass a dict as ``per_region`` to
-    additionally collect one :class:`CampaignResult` per region key
-    (keyed by :func:`region_key` at injection time).
+    Faults are compared against the reference result and output.  The
+    campaign driver (:func:`repro.harness.incremental.run_campaign`)
+    does the work with no outcome store; ``per_region`` collects one
+    :class:`CampaignResult` per landing region.
     """
-    span = campaign_span(program, func=func, args=args)
+    from repro.harness.incremental import run_campaign
 
-    result = CampaignResult()
-    for index in range(start_trial, start_trial + trials):
-        outcome = run_planned_trial(
-            program, seed, index, span, func=func, args=args, kind=kind,
-            detection_latency=detection_latency, recover=recover,
-            injector_factory=injector_factory,
-        )
-        result.trials += 1
-        bucket = classify_outcome(outcome, reference_result, reference_output)
-        if bucket is None:
-            continue
-        result.injected += 1
-        if outcome.detected:
-            result.detected += 1
-        setattr(result, bucket, getattr(result, bucket) + 1)
-        if per_region is not None:
-            sub = per_region.setdefault(
-                outcome.region or REGION_UNKNOWN, CampaignResult()
-            )
-            sub.trials += 1
-            sub.injected += 1
-            if outcome.detected:
-                sub.detected += 1
-            setattr(sub, bucket, getattr(sub, bucket) + 1)
-    _publish_campaign_metrics(result, kind)
-    return result
+    return run_campaign(
+        program, reference_result, reference_output, trials=trials,
+        func=func, kind=kind, seed=seed,
+        detection_latency=detection_latency, start_trial=start_trial,
+        per_region=per_region,
+    ).result
 
 
 def _publish_campaign_metrics(result: CampaignResult, kind: str) -> None:
